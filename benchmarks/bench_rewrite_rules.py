@@ -14,6 +14,11 @@ work):
 * **traversal filter split** — a mixed-variable conjunction after a
   graph traversal.  predicate_split + pushdown evaluate the start-vertex
   half before expanding the traversal at all.
+* **nested index probes** — UniBench Q4's correlated ``LET praise =
+  (FOR f IN feedback FILTER f.product_no == p.product_no …)``.  The rules
+  run inside subquery bodies too, so the inner scan probes the feedback
+  index once per product; with index selection ablated it rescans
+  ``feedback`` per product.
 """
 
 import pytest
@@ -21,6 +26,7 @@ import pytest
 from repro.query.executor import ExecContext, execute
 from repro.query.optimizer import optimize
 from repro.query.parser import parse
+from repro.unibench.workloads import QUERIES_B
 
 DECORRELATED = """
 FOR c IN customers
@@ -46,9 +52,12 @@ FOR c IN customers
 """
 
 
-def _run(db, text, disabled=()):
+NESTED_INDEX, NESTED_INDEX_BINDS = QUERIES_B["Q4"]
+
+
+def _run(db, text, disabled=(), binds=None):
     query = optimize(parse(text), db, disabled=disabled)
-    return execute(ExecContext(db=db, bind_vars={}), query)
+    return execute(ExecContext(db=db, bind_vars=binds or {}), query)
 
 
 def _expected(db, text):
@@ -119,6 +128,28 @@ def test_traversal_split_off(benchmark, mm_db_noindex):
     )
     benchmark.extra_info["rows"] = len(result.rows)
     assert sorted(map(repr, result.rows)) == expected
+
+
+# -- index probes inside a correlated subquery body -------------------------
+
+
+def test_nested_index_on(benchmark, mm_db):
+    expected = _run(
+        mm_db, NESTED_INDEX, ("index_selection",), NESTED_INDEX_BINDS
+    ).rows
+    result = benchmark(_run, mm_db, NESTED_INDEX, (), NESTED_INDEX_BINDS)
+    benchmark.extra_info["rows"] = len(result.rows)
+    assert result.rows == expected and result.rows
+    assert result.stats["scanned"] == 0
+
+
+def test_nested_index_off(benchmark, mm_db):
+    expected = _run(mm_db, NESTED_INDEX, (), NESTED_INDEX_BINDS).rows
+    result = benchmark(
+        _run, mm_db, NESTED_INDEX, ("index_selection",), NESTED_INDEX_BINDS
+    )
+    benchmark.extra_info["rows"] = len(result.rows)
+    assert result.rows == expected
 
 
 # -- full per-rule ablation (one timing per rule, full workload shape) -------

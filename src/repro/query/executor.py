@@ -889,9 +889,12 @@ def _apply_index_scan(ctx, operation: IndexScanOp, batches):
     out: list = []
     for batch in batches:
         for frame in batch:
-            if ctx.txn is not None:
+            probe = value_fn(ctx, frame) if ctx.txn is None else None
+            if probe is None:
                 # Indexes reflect the latest committed state, not this
-                # snapshot: fall back to scan + the original full predicate.
+                # snapshot, and leave NULL/missing keys out (which ``==``
+                # matches against a NULL probe): fall back to scan + the
+                # original full predicate.
                 original_fn = (
                     _compiled(
                         operation, "_c_original", operation.original_condition
@@ -910,7 +913,6 @@ def _apply_index_scan(ctx, operation: IndexScanOp, batches):
                             yield out
                             out = []
                 continue
-            probe = value_fn(ctx, frame)
             index_view = ctx.db.context.indexes.get(operation.index_name)
             ctx.stats["index_lookups"] += 1
             if obs_metrics.ENABLED:

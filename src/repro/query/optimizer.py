@@ -365,8 +365,12 @@ def _is_probe_value(expr: ast.Expr, loop_var: str) -> bool:
     return loop_var not in _variables_in(expr)
 
 
-def select_indexes(query: ast.Query, db) -> ast.Query:
-    """Rewrite scan+filter pairs into index scans where the catalog allows."""
+def select_indexes(query: ast.Query, db, bound=()) -> ast.Query:
+    """Rewrite scan+filter pairs into index scans where the catalog allows.
+
+    *bound* names variables the enclosing scope binds: a FOR over one of
+    them (or over a variable bound earlier in *query*) iterates that
+    value, not the collection it shadows, so no index can serve it."""
     operations = list(query.operations)
     result: list[ast.Operation] = []
     index = 0
@@ -378,6 +382,11 @@ def select_indexes(query: ast.Query, db) -> ast.Query:
             isinstance(operation, ast.ForOp)
             and isinstance(operation.source, ast.VarRef)
             and isinstance(next_operation, ast.FilterOp)
+            and operation.source.name not in bound
+            and not any(
+                operation.source.name in _operation_binds(earlier)
+                for earlier in result
+            )
         ):
             rewritten = _try_index_scan(operation, next_operation, db)
         if rewritten is not None:
@@ -454,7 +463,7 @@ _MULTI_FRAME_OPS = (
 )
 
 
-def build_hash_joins(query: ast.Query, db) -> ast.Query:
+def build_hash_joins(query: ast.Query, db, bound=()) -> ast.Query:
     """Rewrite correlated inner scans into hash joins.
 
     Pattern: an inner ``FOR x IN coll`` + ``FILTER … x.path == probe …``
@@ -467,11 +476,12 @@ def build_hash_joins(query: ast.Query, db) -> ast.Query:
     The rewrite only fires when an earlier operation can produce multiple
     frames (otherwise the scan runs once and a plain filter — or an index
     scan — is already optimal), and never when the FOR source is a variable
-    bound upstream (that is array iteration, not a collection scan).
+    bound upstream or in the enclosing scope (*bound*) — that is array
+    iteration, not a collection scan.
     """
     operations = list(query.operations)
     result: list[ast.Operation] = []
-    bound_vars: set[str] = set()
+    bound_vars: set[str] = set(bound)
     inner_loop = False
     index = 0
     while index < len(operations):
@@ -581,7 +591,14 @@ def optimize(
     coordinator needs before segmenting a statement for shards.  Rules
     that inspect the catalog are likewise skipped when *db* is None.
 
-    The names of the rules that fired are recorded on
+    Every nested query body — each subquery expression and each
+    materialized LET — then gets the same treatment, recursively, after
+    its enclosing level has reached its fixpoint (so the subquery rewrites
+    above still match the raw subquery shapes first).  A correlated
+    ``LET v = (FOR x IN coll FILTER x.k == outer.k …)`` thereby probes an
+    index per outer frame instead of rescanning ``coll``.
+
+    The names of the rules that fired at any level are recorded on
     ``query.rules_fired`` (EXPLAIN renders them); with a database
     attached, the final plan is annotated with cardinality estimates fed
     by the statistics store's observed feedback.
@@ -602,15 +619,33 @@ def optimize(
     toggles = getattr(db, "optimizer_rules", None)
     if toggles is not None:
         off |= set(toggles.disabled)
+    physical = not ast_only and db is not None
+    active = [
+        rule
+        for rule in rules_module.REGISTRY
+        if rule.name not in off and (rule.ast_safe or physical)
+    ]
     context = rules_module.RuleContext(db=db)
+    optimized = _rewrite_level(query, active, context)
+    if optimized is query:
+        # Never hand back the caller's object with mutated metadata.
+        optimized = ast.Query(list(query.operations))
+    optimized.rules_fired = tuple(context.fired)
+    if db is not None and not ast_only:
+        annotate_estimates(optimized, db)
+    return optimized
+
+
+def _rewrite_level(query: ast.Query, active: list, context) -> ast.Query:
+    """Drive *active* rules to a fixpoint over one query level, then
+    rewrite every body nested in it under a context that knows this
+    level's scope."""
+    from repro.query import rules as rules_module
+
     optimized = query
     for _pass in range(rules_module.MAX_PASSES):
         changed = False
-        for rule in rules_module.REGISTRY:
-            if rule.name in off:
-                continue
-            if not rule.ast_safe and (ast_only or db is None):
-                continue
+        for rule in active:
             rewritten = rule.rewrite(optimized, context)
             if rewritten is not optimized and rewritten != optimized:
                 optimized = rewritten
@@ -619,10 +654,27 @@ def optimize(
                     context.fired.append(rule.name)
         if not changed:
             break
-    if optimized is query:
-        # Never hand back the caller's object with mutated metadata.
-        optimized = ast.Query(list(query.operations))
-    optimized.rules_fired = tuple(context.fired)
-    if db is not None and not ast_only:
-        annotate_estimates(optimized, db)
+    inner = None
+
+    def rewrite_body(body: ast.Query) -> ast.Query:
+        nonlocal inner
+        if inner is None:
+            # Over-approximating the scope (every name this level binds)
+            # only makes the scope-sensitive rules more conservative.
+            scope = set(context.outer)
+            for operation in optimized.operations:
+                scope |= _operation_binds(operation)
+            inner = dataclasses.replace(
+                context,
+                outer=frozenset(scope),
+                statement=context.statement or optimized,
+            )
+        return _rewrite_level(body, active, inner)
+
+    operations = [
+        rules_module.map_query_bodies(operation, rewrite_body)
+        for operation in optimized.operations
+    ]
+    if any(new is not old for new, old in zip(operations, optimized.operations)):
+        optimized = ast.Query(operations)
     return optimized

@@ -152,6 +152,19 @@ def _expr_text(expr: ast.Expr) -> str:
 
 
 def _operation_lines(operation: ast.Operation, indent: int) -> list[str]:
+    """The operator's own line(s), then the optimized plan of every query
+    body it evaluates (subquery expressions, a materialized LET), each
+    under a ``Subquery:`` heading one level deeper."""
+    from repro.query.rules import nested_bodies
+
+    lines = _operator_lines(operation, indent)
+    for body in nested_bodies(operation):
+        lines.append(f"{'  ' * (indent + 1)}Subquery:")
+        lines.extend(_plan_lines(body, indent + 2))
+    return lines
+
+
+def _operator_lines(operation: ast.Operation, indent: int) -> list[str]:
     pad = "  " * indent
     if isinstance(operation, IndexScanOp):
         lines = [
@@ -250,12 +263,16 @@ def _operation_lines(operation: ast.Operation, indent: int) -> list[str]:
     return [f"{pad}{type(operation).__name__}"]
 
 
+def _plan_lines(query: ast.Query, indent: int) -> list[str]:
+    lines = []
+    for depth, operation in enumerate(query.operations, start=indent):
+        lines.extend(_operation_lines(operation, depth))
+    return lines
+
+
 def render_plan(query: ast.Query) -> str:
     """Human-readable plan, one operation per line, pipeline order."""
-    lines = []
-    for indent, operation in enumerate(query.operations):
-        lines.extend(_operation_lines(operation, indent))
-    return "\n".join(lines)
+    return "\n".join(_plan_lines(query, 0))
 
 
 def analyzed_op_stats(probes: list) -> list[dict]:
@@ -272,7 +289,7 @@ def analyzed_op_stats(probes: list) -> list[dict]:
     previous_seconds = 0.0
     for probe in probes:
         operation = probe.operation
-        label = _operation_lines(operation, 0)[0].strip()
+        label = _operator_lines(operation, 0)[0].strip()
         entry = {
             "operator": type(operation).__name__,
             "label": label,

@@ -28,6 +28,7 @@ surfaced by ``advise(db)`` and the shell's ``.advise``.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -128,11 +129,19 @@ class SuggestionLog:
 @dataclass
 class RuleContext:
     """What a rule sees besides the plan: the database (None for
-    ast-only replanning, e.g. on the cluster coordinator) and the
-    suggestion hook."""
+    ast-only replanning, e.g. on the cluster coordinator), the
+    suggestion hook, and — for a nested query body — its enclosing scope.
+
+    ``outer`` names the variables the enclosing levels bind (a body reads
+    them as correlations, never as collections, and must not be hoisted
+    out from under them); ``statement`` is the enclosing top-level query
+    (None at the top level, where the query being rewritten is the
+    statement)."""
 
     db: Any = None
     fired: list = field(default_factory=list)
+    outer: frozenset = frozenset()
+    statement: Optional[ast.Query] = None
 
     def suggest(self, source: str, path: tuple, rule: str, reason: str) -> None:
         log = getattr(self.db, "index_suggestions", None)
@@ -204,38 +213,66 @@ _WRITE_OPS = (
 
 def _contains_writes(query: ast.Query) -> bool:
     """True when the query (or any nested subquery) performs DML."""
-    for operation in query.operations:
-        if isinstance(operation, _WRITE_OPS):
-            return True
-        for expr in _operation_subqueries(operation):
-            if _contains_writes(expr.query):
-                return True
-    return False
+    return any(
+        isinstance(operation, _WRITE_OPS)
+        or any(_contains_writes(body) for body in nested_bodies(operation))
+        for operation in query.operations
+    )
 
 
-def _operation_subqueries(operation: ast.Operation):
-    """Every :class:`ast.SubQuery` reachable from an operation's
-    expressions."""
-    stack: list = []
-    for attr in ("source", "condition", "value", "expr", "start", "goal",
-                 "key", "changes", "document", "search", "insert_doc",
-                 "update_patch", "probe", "residual"):
-        node = getattr(operation, attr, None)
-        if isinstance(node, ast.Expr):
-            stack.append(node)
-    if isinstance(operation, ast.SortOp):
-        stack.extend(key.expr for key in operation.keys)
-    if isinstance(operation, ast.CollectOp):
-        stack.extend(expr for _name, expr in operation.groups)
-        stack.extend(arg for _name, _func, arg in operation.aggregates)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ast.SubQuery):
-            yield node
-            for inner in node.query.operations:
-                yield from _operation_subqueries(inner)
-        else:
-            stack.extend(node.children())
+def map_query_bodies(node, fn):
+    """*node* with every query body nested directly in it replaced by
+    ``fn(body)``: the query of each :class:`ast.SubQuery` in its
+    expressions, and a :class:`MaterializeOp`'s ``query``.
+
+    Bodies nested deeper (inside a body) are ``fn``'s business.  Whatever
+    ``fn`` hands back unchanged keeps its identity all the way up, so an
+    operation with nothing to rewrite is returned as the same object."""
+    cls = type(node)
+    if cls is ast.SubQuery:
+        body = fn(node.query)
+        return node if body is node.query else ast.SubQuery(body)
+    if cls is ast.Query:
+        return fn(node)
+    if cls is list or cls is tuple:
+        items = [
+            item if type(item) in _LEAVES else map_query_bodies(item, fn)
+            for item in node
+        ]
+        if all(new is old for new, old in zip(items, node)):
+            return node
+        return cls(items)
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = _FIELD_NAMES[cls] = _field_names(cls)
+    changes = {}
+    for name in names:
+        value = getattr(node, name)
+        if type(value) in _LEAVES:
+            continue
+        mapped = map_query_bodies(value, fn)
+        if mapped is not value:
+            changes[name] = mapped
+    return dataclasses.replace(node, **changes) if changes else node
+
+
+#: Per-class field names :func:`map_query_bodies` descends into.
+_FIELD_NAMES: dict = {}
+#: Field values that cannot hold a query body (names, flags, bounds).
+_LEAVES = frozenset({str, int, float, bool, type(None)})
+
+
+def _field_names(cls) -> tuple:
+    if cls is ast.Literal or not dataclasses.is_dataclass(cls):
+        return ()  # plain values (a literal's payload is data, not AST)
+    return tuple(spec.name for spec in dataclasses.fields(cls))
+
+
+def nested_bodies(operation: ast.Operation) -> list:
+    """The query bodies nested directly in *operation*, in field order."""
+    bodies: list = []
+    map_query_bodies(operation, lambda body: bodies.append(body) or body)
+    return bodies
 
 
 def _free_vars(query: ast.Query) -> set[str]:
@@ -464,7 +501,7 @@ def _rule_decorrelate(query: ast.Query, ctx: RuleContext) -> ast.Query:
     while guard:
         guard -= 1
         rewrote = False
-        bound: set = set()
+        bound: set = set(ctx.outer)
         let_values: dict[str, tuple[int, ast.SubQuery]] = {}
         for index, operation in enumerate(operations):
             if isinstance(operation, ast.LetOp) and isinstance(
@@ -499,7 +536,7 @@ def _rule_decorrelate(query: ast.Query, ctx: RuleContext) -> ast.Query:
                 if let_index is not None:
                     # The subquery's scope is where the LET ran, not
                     # where the filter tests it.
-                    let_bound = set()
+                    let_bound = set(ctx.outer)
                     for earlier in operations[:let_index]:
                         let_bound |= _operation_binds(earlier)
                 joined = _match_semi_join(subquery, kind, let_bound, ctx)
@@ -558,17 +595,16 @@ def _rule_materialize_let(query: ast.Query, ctx: RuleContext) -> ast.Query:
     query** and shares them across every downstream frame, instead of
     re-running the subquery per frame.
 
-    Guards: the subquery must read no variable bound upstream (else it is
-    genuinely correlated), and the whole statement must be read-only —
-    re-execution of a subquery after DML could observe its own writes,
-    and a one-shot materialization must not change that story because
-    there is none to change."""
-    if _contains_writes(query):
-        return query
+    Guards: the subquery must read no variable bound upstream or, in a
+    nested body, by the enclosing levels (else it is genuinely
+    correlated), and the whole statement must be read-only — re-execution
+    of a subquery after DML could observe its own writes, and a one-shot
+    materialization must not change that story because there is none to
+    change."""
     operations = list(query.operations)
     changed = False
     multi_frame = False
-    bound: set = set()
+    bound: set = set(ctx.outer)
     for index, operation in enumerate(operations):
         if (
             multi_frame
@@ -585,7 +621,9 @@ def _rule_materialize_let(query: ast.Query, ctx: RuleContext) -> ast.Query:
         if isinstance(operation, _MULTI_FRAME_OPS):
             multi_frame = True
         bound |= _operation_binds(operation)
-    return ast.Query(operations) if changed else query
+    if not changed or _contains_writes(ctx.statement or query):
+        return query
+    return ast.Query(operations)
 
 
 # ---------------------------------------------------------------------------
@@ -602,13 +640,13 @@ def _rule_filter_pushdown(query: ast.Query, ctx: RuleContext) -> ast.Query:
 
 
 def _rule_index_selection(query: ast.Query, ctx: RuleContext) -> ast.Query:
-    rewritten = select_indexes(query, ctx.db)
+    rewritten = select_indexes(query, ctx.db, ctx.outer)
     _suggest_scan_near_misses(rewritten, ctx)
     return rewritten
 
 
 def _rule_hash_join(query: ast.Query, ctx: RuleContext) -> ast.Query:
-    return build_hash_joins(query, ctx.db)
+    return build_hash_joins(query, ctx.db, ctx.outer)
 
 
 def _suggest_scan_near_misses(query: ast.Query, ctx: RuleContext) -> None:

@@ -81,7 +81,17 @@ class ReplicationHub:
             peer=peer,
             from_lsn=from_lsn,
         )
+        if self._ack_cond is not None:
+            # A replica re-subscribing from its watermark acks everything
+            # up to it: parked semi-sync writers must re-check now, not at
+            # their deadline (by then its connection may be down again).
+            asyncio.get_running_loop().create_task(self._notify_waiters())
         return subscriber
+
+    async def _notify_waiters(self) -> None:
+        condition = self._condition()
+        async with condition:
+            condition.notify_all()
 
     def unsubscribe(self, session_id: int) -> None:
         subscriber = self._subscribers.pop(session_id, None)
@@ -121,9 +131,7 @@ class ReplicationHub:
             return
         if lsn > subscriber.acked_lsn:
             subscriber.acked_lsn = lsn
-            condition = self._condition()
-            async with condition:
-                condition.notify_all()
+            await self._notify_waiters()
 
     async def wait_for_acks(
         self, lsn: int, count: int, timeout: float

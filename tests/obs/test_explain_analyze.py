@@ -102,6 +102,30 @@ class TestUniBenchAnalyze:
         assert result.op_stats[0]["rows_out"] == 0
         assert "IndexScan" in result.analyzed
 
+    def test_inner_index_scan_rendered_under_its_operator(self, demo_db):
+        from repro.unibench.workloads import QUERIES_B
+
+        text, binds = QUERIES_B["Q4"]
+        inner = (
+            "IndexScan f IN feedback USING hash index "
+            "'hash:doc:feedback:product_no' ON product_no == p.product_no"
+        )
+        result = demo_db.query("EXPLAIN ANALYZE " + text, binds)
+        lines = result.analyzed.splitlines()
+        let = next(i for i, line in enumerate(lines) if "Let praise" in line)
+        # Operator line (with its measurements), then the inner plan one
+        # level deeper under a Subquery: heading.
+        assert "[rows in=" in lines[let]
+        assert lines[let + 1] == "    Subquery:"
+        assert lines[let + 2] == "      " + inner
+        assert lines[let + 3].strip() == "Filter (f.positive == True)"
+        assert lines[let + 4].strip() == "Return f._key"
+        # Top-level probes stay one per top-level operator.
+        assert len(result.op_stats) == 5
+        fired = next(line for line in lines if line.startswith("Rules fired:"))
+        assert "index_selection" in fired and "predicate_split" in fired
+        assert inner in demo_db.explain(text)
+
     def test_metrics_nonzero_after_query(self, demo_db):
         demo_db.query("FOR c IN customers FILTER c.credit_limit > 3000 RETURN c")
         registry = metrics.REGISTRY

@@ -8,11 +8,12 @@ from repro.core.database import MultiModelDB
 from repro.query import ast
 from repro.query.optimizer import optimize
 from repro.query.parser import parse
-from repro.query.plan import AntiJoinOp, MaterializeOp, SemiJoinOp
+from repro.query.plan import AntiJoinOp, IndexScanOp, MaterializeOp, SemiJoinOp
 from repro.query.rules import (
     REGISTRY,
     RuleToggles,
     SuggestionLog,
+    nested_bodies,
     rule_names,
 )
 from repro.query.statistics import StatisticsStore, predicate_fingerprint
@@ -281,6 +282,124 @@ class TestMaterialization:
         assert not any(
             isinstance(op, MaterializeOp) for op in plan.operations
         )
+
+
+class TestNestedBodies:
+    """The registry also runs inside every subquery body, after the
+    enclosing level's fixpoint, with the enclosing scope in view."""
+
+    CORRELATED = (
+        "FOR c IN customers "
+        "LET m = (FOR o IN orders FILTER o.cust == c.id AND o.total >= 0 "
+        "RETURN o._key) "
+        "RETURN {id: c.id, n: LENGTH(m)}"
+    )
+
+    @staticmethod
+    def _body(plan, position=1):
+        (body,) = nested_bodies(plan.operations[position])
+        return body
+
+    def test_correlated_let_body_probes_index(self, db):
+        db.collection("orders").create_index("cust", kind="hash")
+        plan = optimize(parse(self.CORRELATED), db)
+        inner = self._body(plan).operations
+        assert isinstance(inner[0], IndexScanOp)
+        assert inner[0].path == ("cust",)
+        # Inner firings merge into the statement's list.
+        assert {"predicate_split", "index_selection"} <= set(plan.rules_fired)
+        result = db.query(self.CORRELATED)
+        assert result.stats["index_lookups"] == 20
+        assert sum(row["n"] for row in result.rows) == 10
+
+    def test_ablated_rule_stays_off_inside_bodies(self, db):
+        db.collection("orders").create_index("cust", kind="hash")
+        plan = optimize(parse(self.CORRELATED), db, disabled={"index_selection"})
+        assert not any(
+            isinstance(op, IndexScanOp) for op in self._body(plan).operations
+        )
+        assert "index_selection" not in plan.rules_fired
+
+    def test_ast_only_rewrites_bodies_without_physical_ops(self, db):
+        plan = optimize(parse(self.CORRELATED), None, ast_only=True)
+        inner = self._body(plan).operations
+        assert [type(op) for op in inner] == [
+            ast.ForOp, ast.FilterOp, ast.FilterOp, ast.ReturnOp,
+        ]
+        assert plan.rules_fired == ("predicate_split",)
+
+    def test_materialized_body_is_rewritten(self, db):
+        db.collection("orders").create_index("cust", kind="hash")
+        text = (
+            "FOR c IN customers "
+            "LET fours = (FOR o IN orders FILTER o.cust == 4 RETURN o.total) "
+            "RETURN {id: c.id, fours}"
+        )
+        plan = optimize(parse(text), db)
+        assert isinstance(plan.operations[1], MaterializeOp)
+        assert isinstance(self._body(plan).operations[0], IndexScanOp)
+        assert all(row["fours"] == [40] for row in db.query(text).rows)
+
+    def test_outer_correlation_blocks_inner_materialization(self, db):
+        # The inner LET reads no variable of its own body, but it does
+        # read c from two levels up: sharing one evaluation would be wrong.
+        text = (
+            "FOR c IN customers FILTER c.id <= 4 "
+            "LET per = (FOR x IN [1, 2] "
+            "  LET mine = (FOR o IN orders FILTER o.cust == c.id RETURN 1) "
+            "  RETURN LENGTH(mine)) "
+            "RETURN per"
+        )
+        plan = optimize(parse(text), db)
+        inner = self._body(plan, 2).operations
+        assert not any(isinstance(op, MaterializeOp) for op in inner)
+        assert db.query(text).rows == [[1, 1], [0, 0], [1, 1], [0, 0], [1, 1]]
+
+    def test_write_statement_blocks_inner_materialization(self, db):
+        text = (
+            "FOR c IN customers "
+            "LET per = (FOR x IN [c.id, 2] "
+            "  LET bigs = (FOR o IN orders FILTER o.total >= 100 RETURN 1) "
+            "  RETURN LENGTH(bigs)) "
+            "INSERT {id: c.id, per} INTO orders"
+        )
+        plan = optimize(parse(text), db)
+        assert not any(
+            isinstance(op, MaterializeOp) for op in self._body(plan).operations
+        )
+
+    def test_read_statement_materializes_inner_uncorrelated_let(self, db):
+        text = (
+            "FOR c IN customers "
+            "LET per = (FOR x IN [c.id, 2] "
+            "  LET bigs = (FOR o IN orders FILTER o.total >= 100 RETURN 1) "
+            "  RETURN LENGTH(bigs)) "
+            "RETURN per"
+        )
+        plan = optimize(parse(text), db)
+        assert any(
+            isinstance(op, MaterializeOp) for op in self._body(plan).operations
+        )
+        result = db.query(text)
+        assert result.stats["materialized_subqueries"] == 1
+        assert all(row == [5, 5] for row in result.rows)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "LET orders = [{cust: 2, tag: 'shadow'}] "
+            "FOR o IN orders FILTER o.cust == 2 RETURN o.tag",
+            "FOR c IN customers FILTER c.id == 2 "
+            "LET orders = [{cust: 2, tag: 'shadow'}] "
+            "RETURN FIRST(FOR o IN orders FILTER o.cust == c.id RETURN o.tag)",
+        ],
+        ids=["top_level", "nested"],
+    )
+    def test_variable_shadowing_a_collection_is_not_index_scanned(
+        self, db, text
+    ):
+        db.collection("orders").create_index("cust", kind="hash")
+        assert db.query(text).rows == ["shadow"]
 
 
 class TestPredicateSplit:

@@ -398,6 +398,47 @@ class TestSemiSync:
             primary.stop()
 
 
+class TestSemiSyncWakeups:
+    """A replica that re-subscribes already holding the awaited LSN acks it
+    by subscribing (its watermark is the subscription's starting point).
+    The waiting write must see that at once: sleeping to the deadline
+    refuses an acknowledged write whenever the replica's connection
+    happens to be down at that instant, which is how the chaos runs lost
+    "confirmed" writes under CPU load."""
+
+    def test_resubscribe_at_the_awaited_lsn_wakes_the_writer(self):
+        import asyncio
+
+        from repro.replication.hub import ReplicationHub
+
+        async def scenario():
+            hub = ReplicationHub()
+            waiter = asyncio.ensure_future(hub.wait_for_acks(5, 1, 1.0))
+            await asyncio.sleep(0.05)  # the writer is parked, 0 acks
+            hub.subscribe(1, "replica:1", from_lsn=5)
+            await asyncio.sleep(0.05)
+            woke = waiter.done()
+            # The connection drops again before the deadline.
+            hub.unsubscribe(1)
+            await waiter  # raises ReplicationError if it slept on
+            return woke
+
+        assert asyncio.run(scenario())
+
+    def test_resubscribe_behind_the_awaited_lsn_keeps_waiting(self):
+        import asyncio
+
+        from repro.replication.hub import ReplicationHub
+
+        async def scenario():
+            hub = ReplicationHub()
+            hub.subscribe(1, "replica:1", from_lsn=4)
+            with pytest.raises(ReplicationError, match="semi-sync"):
+                await hub.wait_for_acks(5, 1, 0.1)
+
+        asyncio.run(scenario())
+
+
 class TestPromotionAndFailover:
     def test_promote_and_repoint(self):
         primary = _server()
